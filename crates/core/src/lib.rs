@@ -38,7 +38,8 @@
 //!    (subject-clustered OIDs, sorted literals, dense segments).
 //!
 //! Queries run against the newest built generation by default; benchmarks
-//! pin a generation + plan scheme with [`Database::query_with`].
+//! pin a generation + plan scheme with [`QueryRequest::generation`] and
+//! [`QueryRequest::config`].
 //!
 //! The store stays organized **as data keeps arriving**: after
 //! [`Database::self_organize`], [`Database::insert_ntriples`] and
@@ -53,9 +54,10 @@
 //! ## Background reorganization
 //!
 //! Reorganization happens **off the write path**: every query *pins* the
-//! current [`StoreGeneration`] (an `Arc` of dictionary + base triples +
-//! built stores) plus a delta view at query start and never re-reads shared
-//! state. [`Database::reorganize_async`] (and the policy-gated
+//! current [`StoreGeneration`] (an `Arc` of the dictionary + the built
+//! stores, which are the only copy of the base triples) plus a delta view
+//! at query start and never re-reads shared state.
+//! [`Database::reorganize_async`] (and the policy-gated
 //! [`Database::maybe_reorganize_async`], or a [`Database::start_auto_reorg`]
 //! thread) builds the next generation on a worker thread against that
 //! pinned snapshot while reads *and writes* continue, then swaps the handle
@@ -63,8 +65,10 @@
 //! the fresh generation's delta store (decoded under the old dictionary,
 //! re-encoded under the renumbered one, replayed in sequence order so
 //! snapshots taken at or after the rebuild pin survive the swap). Readers
-//! never block on a rebuild; writers stall only for the short swap +
-//! catch-up fold, never for the rebuild itself. Synchronous
+//! never block on a rebuild; the bulk of that catch-up fold runs off the
+//! state lock too, so writers stall only for the short swap (the writes
+//! that landed during the off-lock fold, plus the durable commit), never
+//! for the rebuild itself. Synchronous
 //! [`Database::reorganize_now`] / [`Database::maybe_reorganize`] run the
 //! same pin → build → swap protocol inline on the calling thread.
 //!
@@ -225,13 +229,6 @@ pub enum Generation {
     CsParseOrder,
     /// Fully self-organized: clustered OIDs, dense segments.
     Clustered,
-}
-
-/// A query's result together with its execution trace.
-pub struct Traced {
-    pub results: ResultSet,
-    pub stats: StatsSnapshot,
-    pub pool: PoolStats,
 }
 
 /// The query language of a [`QueryRequest`].
@@ -624,7 +621,8 @@ pub struct MemoryStats {
     /// Dictionary pools: IRIs, blank nodes and string literals, including
     /// their hash indexes and the front-coded frozen string run.
     pub dict_bytes: u64,
-    /// The base triple set (parse-order `Vec<Triple>`).
+    /// The staged base triples. Non-zero only before the first build: the
+    /// built layouts are the base from then on (counted in `column_bytes`).
     pub base_triples_bytes: u64,
     /// Encoded column/index pages across every built layout (baseline
     /// permutations, CS tables, clustered segments and their irregular
@@ -719,18 +717,7 @@ impl DbInner {
     fn pin(&self, snap: Option<Snapshot>) -> Pin {
         let (gen, delta, epoch) = {
             let st = self.state.lock();
-            let delta = match snap {
-                Some(s) if s.seq() != st.delta.seq() => {
-                    let v = st.delta.view_at(s);
-                    if v.is_empty() {
-                        None
-                    } else {
-                        Some(Arc::new(v))
-                    }
-                }
-                _ => st.delta.current_view_arc(),
-            };
-            (Arc::clone(&st.gen), delta, st.epoch)
+            (Arc::clone(&st.gen), view_at(&st, snap), st.epoch)
         };
         let dict = gen.pin_dict();
         Pin {
@@ -750,17 +737,7 @@ impl DbInner {
     fn pin_with_routing(&self, snap: Option<Snapshot>) -> (Pin, FxHashMap<Oid, ClassId>) {
         let (gen, delta, epoch, routed) = {
             let st = self.state.lock();
-            let delta = match snap {
-                Some(s) if s.seq() != st.delta.seq() => {
-                    let v = st.delta.view_at(s);
-                    if v.is_empty() {
-                        None
-                    } else {
-                        Some(Arc::new(v))
-                    }
-                }
-                _ => st.delta.current_view_arc(),
-            };
+            let delta = view_at(&st, snap);
             let routed = st
                 .write
                 .as_ref()
@@ -854,7 +831,11 @@ impl Database {
                 pool,
                 plans: Mutex::new(PlanCache::default()),
                 state: Mutex::new(State {
-                    gen: Arc::new(StoreGeneration::staging(Dictionary::new(), Vec::new())),
+                    gen: Arc::new(StoreGeneration::staging(
+                        Arc::new(Dictionary::new()),
+                        Vec::new(),
+                        ColumnEncoding::default(),
+                    )),
                     delta: DeltaStore::new(),
                     write: None,
                     schema_cfg: SchemaConfig::default(),
@@ -1069,7 +1050,7 @@ impl Database {
         if st.durable.is_none() {
             return Err(Error::State("not a durable database".into()));
         }
-        checkpoint_locked(&mut st)
+        checkpoint_locked(&mut st, &self.inner.pool)
     }
 
     /// Merge the delta store's insert runs into one, physically dropping
@@ -1098,10 +1079,12 @@ impl Database {
 
     // ---- loading -----------------------------------------------------------
 
-    /// Bulk-load an N-Triples document into the staging set. Collapses any
-    /// pending delta writes into the base first, then invalidates built
-    /// stores (the next build sees everything). For incremental writes after
-    /// a build, use [`Database::insert_ntriples`].
+    /// Bulk-load an N-Triples document into the staging set. Folds the
+    /// built stores and any pending delta writes back into a staged base
+    /// first, so the next build sees everything. Returns the number of
+    /// triples added: the store is an RDF set, so triples already present
+    /// are skipped. For incremental writes after a build, use
+    /// [`Database::insert_ntriples`].
     pub fn load_ntriples(&self, text: &str) -> Result<usize, Error> {
         let parsed = ntriples::parse_document(text)?;
         self.load_terms(&parsed)
@@ -1112,29 +1095,14 @@ impl Database {
     // lock-order: acquires(db_state)
     pub fn load_terms(&self, triples: &[TermTriple]) -> Result<usize, Error> {
         let mut st = self.inner.state.lock();
-        load_terms_locked(&mut st, triples)
+        load_terms_locked(&mut st, &self.inner.pool, triples)
     }
 
     /// Number of visible triples: base triples minus tombstoned ones, plus
     /// visible delta inserts.
     // lock-order: acquires(db_state)
     pub fn n_triples(&self) -> usize {
-        let st = self.inner.state.lock();
-        match st.delta.current_view() {
-            None => st.gen.triples.len(),
-            Some(view) => {
-                let deleted_base = if view.n_tombstones() == 0 {
-                    0
-                } else {
-                    st.gen
-                        .triples
-                        .iter()
-                        .filter(|t| view.is_deleted(**t))
-                        .count()
-                };
-                st.gen.triples.len() - deleted_base + view.n_inserts()
-            }
-        }
+        visible_count(&self.inner.state.lock(), &self.inner.pool)
     }
 
     /// Pin the current generation's dictionary. Holding a pin never blocks
@@ -1159,7 +1127,9 @@ impl Database {
     /// against the discovered schema for drift tracking. No built column is
     /// touched; call [`Database::maybe_reorganize`] (or let a background
     /// reorganization run) to fold the delta into a fresh organized
-    /// generation when drift warrants it.
+    /// generation when drift warrants it. Returns the number of triples
+    /// added: the store is an RDF set, so triples already visible (and
+    /// repeats within the batch) are skipped before the batch is logged.
     pub fn insert_ntriples(&self, text: &str) -> Result<usize, Error> {
         let parsed = ntriples::parse_document(text)?;
         self.insert_terms(&parsed)
@@ -1171,40 +1141,47 @@ impl Database {
         if triples.is_empty() {
             return Ok(0);
         }
+        let pool = &self.inner.pool;
         let mut st = self.inner.state.lock();
         if !st.gen.any_built() {
-            return load_terms_locked(&mut st, triples);
+            return load_terms_locked(&mut st, pool, triples);
         }
         let st = &mut *st;
-        let (encoded, strings_appended) = intern_batch(st, |dict| {
-            let mut encoded = Vec::with_capacity(triples.len());
-            for t in triples {
-                encoded.push(encode_triple_skolemized(dict, t)?);
-            }
-            Ok(encoded)
-        })?;
+        let (encoded, strings_appended) = intern_batch(st, |dict| encode_terms(dict, triples))?;
+        if strings_appended {
+            st.delta.set_strings_appended();
+        }
+        // Set semantics: keep only the first occurrence of each triple that
+        // is not already visible, so neither the log nor the delta ever
+        // holds a second copy.
+        let mut seen = FxHashSet::default();
+        let fresh: Vec<usize> = (0..encoded.len())
+            .filter(|&i| seen.insert(encoded[i]) && !is_visible(st, pool, encoded[i]))
+            .collect();
+        if fresh.is_empty() {
+            return Ok(0);
+        }
         // Write-ahead: the batch reaches the log (and, under Always, the
         // disk) before any in-memory structure sees it.
         if st.durable.is_some() {
-            log_write(st, &WalRecord::Insert(triples.to_vec()))?;
+            let terms = fresh.iter().map(|&i| triples[i].clone()).collect();
+            log_write(st, &WalRecord::Insert(terms))?;
         }
+        let encoded: Vec<Triple> = fresh.iter().map(|&i| encoded[i]).collect();
         route_inserts(
             &mut st.write,
             st.gen.schema.as_deref(),
             &st.schema_cfg,
             &encoded,
         );
-        if strings_appended {
-            st.delta.set_strings_appended();
-        }
         let _ = st.delta.insert_run(encoded);
-        Ok(triples.len())
+        Ok(fresh.len())
     }
 
-    /// Delete exact triples (RDF set semantics: every visible occurrence of
-    /// each triple is removed). Unknown terms match nothing. Deletes are
-    /// tombstones — base columns are untouched; scans filter. Returns the
-    /// number of distinct triples actually deleted.
+    /// Delete exact triples (RDF set semantics: each visible triple is
+    /// removed). Unknown terms match nothing. Deletes are tombstones — base
+    /// columns are untouched; scans filter. Returns the number of distinct
+    /// triples actually deleted.
     // lock-order: acquires(db_state, dict)
     pub fn delete_triples(&self, triples: &[TermTriple]) -> Result<usize, Error> {
         let mut st = self.inner.state.lock();
@@ -1224,7 +1201,7 @@ impl Database {
         }
         targets.sort_unstable();
         targets.dedup();
-        delete_encoded_locked(&mut st, targets)
+        delete_encoded_locked(&mut st, &self.inner.pool, targets)
     }
 
     /// Delete every visible triple matching the pattern (`None` = wildcard).
@@ -1258,23 +1235,11 @@ impl Database {
                 && p.map_or(true, |x| t.p == x)
                 && o.map_or(true, |x| t.o == x)
         };
-        let mut targets: Vec<Triple> = {
-            let view = st.delta.current_view();
-            let mut v: Vec<Triple> = st
-                .gen
-                .triples
-                .iter()
-                .filter(|t| matches(t) && view.map_or(true, |d| !d.is_deleted(**t)))
-                .copied()
-                .collect();
-            if let Some(d) = view {
-                v.extend(d.inserts().iter().filter(|t| matches(t)));
-            }
-            v
-        };
+        let pool = &self.inner.pool;
+        let mut targets = st.gen.visible_triples(pool, st.delta.current_view());
+        targets.retain(matches);
         targets.sort_unstable();
-        targets.dedup();
-        delete_encoded_locked(&mut st, targets)
+        delete_encoded_locked(&mut st, pool, targets)
     }
 
     /// A snapshot of the current write sequence. Queries pinned to it via
@@ -1303,9 +1268,9 @@ impl Database {
     }
 
     /// Per-component resident-byte accounting of the current state: the
-    /// dictionary, the base triple set, every built layout's encoded pages
-    /// (with their plain-encoding counterfactual for the compression
-    /// ratio) and the pending delta. See [`MemoryStats`].
+    /// dictionary, the staged base (before the first build), every built
+    /// layout's encoded pages (with their plain-encoding counterfactual for
+    /// the compression ratio) and the pending delta. See [`MemoryStats`].
     // lock-order: acquires(db_state)
     pub fn memory_stats(&self) -> MemoryStats {
         let st = self.inner.state.lock();
@@ -1335,12 +1300,11 @@ impl Database {
         let (dict_enc, dict_plain) = st.gen.dict.string_front_coding_bytes();
         MemoryStats {
             dict_bytes: st.gen.dict.approx_bytes().total(),
-            base_triples_bytes: st.gen.triples.len() as u64 * triple,
+            base_triples_bytes: st.gen.staged.len() as u64 * triple,
             column_bytes: classes.iter().map(|c| c.encoded).sum(),
             column_plain_bytes: classes.iter().map(|c| c.plain).sum(),
             delta_bytes: st.delta.approx_bytes(),
-            n_triples: st.gen.triples.len() as u64
-                + st.delta.current_view().map_or(0, |v| v.n_inserts() as u64),
+            n_triples: visible_count(&st, &self.inner.pool) as u64,
             classes,
             dict_string_bytes: dict_enc,
             dict_string_plain_bytes: dict_plain,
@@ -1506,14 +1470,15 @@ impl Database {
             return Ok(());
         }
         ensure_no_pending_writes(&st, "build_baseline()")?;
-        let spo = sorted_spo(&st.gen.triples);
-        let store = BaselineStore::build_with(&self.inner.dm, &spo, st.encoding);
+        let base = st.gen.base_triples(&self.inner.pool);
+        let store = BaselineStore::build_with(&self.inner.dm, &base, st.encoding);
         let encoding = st.encoding;
         let gen = Arc::make_mut(&mut st.gen);
+        gen.staged = Vec::new();
         gen.baseline = Some(Arc::new(store));
         gen.encoding = encoding;
         st.epoch += 1;
-        checkpoint_locked(&mut st)?;
+        checkpoint_locked(&mut st, &self.inner.pool)?;
         Ok(())
     }
 
@@ -1522,9 +1487,9 @@ impl Database {
     pub fn discover_schema(&self, cfg: &SchemaConfig) -> Result<f64, Error> {
         let mut st = self.inner.state.lock();
         let epoch = st.epoch;
-        let coverage = discover_schema_locked(&mut st, cfg)?;
+        let coverage = discover_schema_locked(&mut st, &self.inner.pool, cfg)?;
         if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
+            checkpoint_locked(&mut st, &self.inner.pool)?;
         }
         Ok(coverage)
     }
@@ -1535,9 +1500,9 @@ impl Database {
     pub fn build_cs_tables(&self) -> Result<(), Error> {
         let mut st = self.inner.state.lock();
         let epoch = st.epoch;
-        build_cs_tables_locked(&mut st, &self.inner.dm)?;
+        build_cs_tables_locked(&mut st, &self.inner.dm, &self.inner.pool)?;
         if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
+            checkpoint_locked(&mut st, &self.inner.pool)?;
         }
         Ok(())
     }
@@ -1550,9 +1515,9 @@ impl Database {
     pub fn self_organize(&self) -> Result<Arc<EmergentSchema>, Error> {
         let mut st = self.inner.state.lock();
         let epoch = st.epoch;
-        let schema = self_organize_locked(&mut st, &self.inner.dm, None)?;
+        let schema = self_organize_locked(&mut st, &self.inner.dm, &self.inner.pool, None)?;
         if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
+            checkpoint_locked(&mut st, &self.inner.pool)?;
         }
         Ok(schema)
     }
@@ -1562,9 +1527,9 @@ impl Database {
     pub fn self_organize_with(&self, spec: ClusterSpec) -> Result<Arc<EmergentSchema>, Error> {
         let mut st = self.inner.state.lock();
         let epoch = st.epoch;
-        let schema = self_organize_locked(&mut st, &self.inner.dm, Some(spec))?;
+        let schema = self_organize_locked(&mut st, &self.inner.dm, &self.inner.pool, Some(spec))?;
         if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
+            checkpoint_locked(&mut st, &self.inner.pool)?;
         }
         Ok(schema)
     }
@@ -1683,126 +1648,27 @@ impl Database {
         }
         let config = req.config.unwrap_or(self.config);
         match req.lang {
-            QueryLang::Sparql => {
-                let (traced, pin) = self.query_traced_impl(
-                    &req.text,
-                    req.generation,
-                    config,
-                    req.parallel.as_ref(),
-                    req.snapshot,
-                    cancel,
-                )?;
-                Ok(QueryResponse {
-                    results: traced.results,
-                    pin,
-                    stats: req.trace.then_some(traced.stats),
-                    pool: req.trace.then_some(traced.pool),
-                })
-            }
+            QueryLang::Sparql => self.execute_sparql(req, config, cancel),
             QueryLang::Sql => self.execute_sql(req, config, cancel),
         }
     }
 
-    /// Run a SPARQL query pinned to a generation + configuration.
-    #[deprecated(since = "0.1.0", note = "use Database::execute with a QueryRequest")]
-    pub fn query_with(
+    /// The SPARQL half of [`Database::execute`]. No pinned generation =
+    /// newest built in the pinned generation (evaluated against the *pin*,
+    /// so a concurrent swap cannot split the choice from the data it runs
+    /// on).
+    fn execute_sparql(
         &self,
-        sparql: &str,
-        generation: Generation,
+        req: &QueryRequest,
         config: ExecConfig,
-    ) -> Result<ResultSet, Error> {
-        Ok(self
-            .execute(
-                &QueryRequest::sparql(sparql)
-                    .generation(generation)
-                    .config(config),
-            )?
-            .results)
-    }
-
-    /// Run a SPARQL query and return operator/pool statistics with it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Database::execute with a traced QueryRequest"
-    )]
-    pub fn query_traced(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-    ) -> Result<Traced, Error> {
-        let resp = self.execute(
-            &QueryRequest::sparql(sparql)
-                .generation(generation)
-                .config(config)
-                .traced(true),
-        )?;
-        Ok(traced_of(resp))
-    }
-
-    /// Run a SPARQL query with morsel-parallel operators (see
-    /// [`sordf_engine::parallel`]): page/row ranges are split across
-    /// `parallel.workers` scoped threads sharing this database's buffer
-    /// pool. Non-aggregate results are byte-identical to the sequential
-    /// path (same rows, same order); SUM/AVG aggregates merge per-worker
-    /// partials through the compensated accumulator and may differ from
-    /// the sequential value in the last ulp (canonical/rendered forms
-    /// agree — do not compare raw aggregate `f64`s bitwise).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Database::execute with a parallel QueryRequest"
-    )]
-    pub fn query_parallel(
-        &self,
-        sparql: &str,
-        parallel: &ParallelConfig,
-    ) -> Result<ResultSet, Error> {
-        Ok(self
-            .execute(&QueryRequest::sparql(sparql).parallel(*parallel))?
-            .results)
-    }
-
-    /// [`Database::query_parallel`] pinned to a generation + configuration,
-    /// returning operator/pool statistics with the results.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Database::execute with a traced QueryRequest"
-    )]
-    pub fn query_traced_parallel(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-        parallel: &ParallelConfig,
-    ) -> Result<Traced, Error> {
-        let resp = self.execute(
-            &QueryRequest::sparql(sparql)
-                .generation(generation)
-                .config(config)
-                .parallel(*parallel)
-                .traced(true),
-        )?;
-        Ok(traced_of(resp))
-    }
-
-    /// The shared SPARQL path. `generation: None` = newest built in the
-    /// pinned generation (evaluated against the *pin*, so a concurrent swap
-    /// cannot split the choice from the data it runs on).
-    fn query_traced_impl(
-        &self,
-        sparql: &str,
-        generation: Option<Generation>,
-        config: ExecConfig,
-        parallel: Option<&ParallelConfig>,
-        snap: Option<Snapshot>,
         cancel: Option<CancellationToken>,
-    ) -> Result<(Traced, DictPin), Error> {
-        let pin = self.inner.pin(snap);
-        let generation = match generation {
+    ) -> Result<QueryResponse, Error> {
+        let pin = self.inner.pin(req.snapshot);
+        let generation = match req.generation {
             Some(g) => g,
             None => newest_generation(&pin.gen)?,
         };
-        let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
+        let query = sordf_sparql::parse_sparql(&req.text, &pin.dict)?;
         let storage = storage_for(&pin.gen, generation)?;
         let cx = ExecContext::new(&self.inner.pool, &pin.dict, storage, config)
             .with_delta(pin.delta.clone())
@@ -1819,19 +1685,21 @@ impl Database {
             let pp = self
                 .inner
                 .cached_plan(key, pin.epoch, || sordf_engine::optimize(&cx, &lp));
-            match parallel {
+            match &req.parallel {
                 None => sordf_engine::execute_physical_seq(&cx, &q, &lp, &pp),
                 Some(par) => sordf_engine::execute_physical_parallel(&cx, &q, &lp, &pp, par),
             }
         }))
         .map_err(interrupt_or_exec)?;
-        let traced = Traced {
-            results,
-            stats: cx.stats.snapshot(),
-            pool: self.inner.pool.stats().since(&pool_before),
-        };
+        let stats = cx.stats.snapshot();
+        let pool = self.inner.pool.stats().since(&pool_before);
         drop(cx);
-        Ok((traced, pin.dict))
+        Ok(QueryResponse {
+            results,
+            pin: pin.dict,
+            stats: req.trace.then_some(stats),
+            pool: req.trace.then_some(pool),
+        })
     }
 
     /// Run a SPARQL query and return the results together with a read pin
@@ -1868,7 +1736,8 @@ impl Database {
     }
 
     /// [`Database::explain`] against an explicit generation and exec config
-    /// (the EXPLAIN counterpart of [`Database::query_with`]).
+    /// (the EXPLAIN counterpart of a [`QueryRequest`] pinned with
+    /// [`QueryRequest::generation`] and [`QueryRequest::config`]).
     pub fn explain_with(
         &self,
         sparql: &str,
@@ -2197,14 +2066,6 @@ fn storage_for(gen: &StoreGeneration, generation: Generation) -> Result<StorageR
     }
 }
 
-/// A copy of `triples` sorted in SPO order (the order schema discovery and
-/// the store builders require).
-fn sorted_spo(triples: &[Triple]) -> Vec<Triple> {
-    let mut v = triples.to_vec();
-    v.sort_unstable_by_key(|t| t.key_spo());
-    v
-}
-
 fn drift_stats_locked(st: &State) -> DriftStats {
     let n_base_irregular = match (&st.gen.clustered, &st.gen.cs_parse_order) {
         (Some(store), _) => store.irregular.len() as u64,
@@ -2221,7 +2082,7 @@ fn drift_stats_locked(st: &State) -> DriftStats {
         None => (0, 0, Vec::new()),
     };
     DriftStats {
-        n_base_triples: st.gen.triples.len() as u64,
+        n_base_triples: st.gen.n_triples() as u64,
         n_base_irregular,
         n_delta_inserts: view.map_or(0, |v| v.n_inserts() as u64),
         n_tombstones: st.delta.n_tombstones() as u64,
@@ -2231,27 +2092,13 @@ fn drift_stats_locked(st: &State) -> DriftStats {
     }
 }
 
-/// Decode one encoded triple back to terms.
-fn decode_triple(dict: &Dictionary, t: Triple) -> Result<TermTriple, Error> {
-    Ok(TermTriple::new(
-        dict.decode(t.s)?,
-        dict.decode(t.p)?,
-        dict.decode(t.o)?,
-    ))
-}
-
 /// Decode encoded triples back to terms for WAL logging; `None` when the
 /// database is not durable (skips the decode entirely).
 fn decode_for_log(st: &State, triples: &[Triple]) -> Result<Option<Vec<TermTriple>>, Error> {
-    if st.durable.is_none() {
-        return Ok(None);
+    match st.durable {
+        None => Ok(None),
+        Some(_) => decode_triples(&st.gen.dict, triples).map(Some),
     }
-    let dict = st.gen.dict.as_ref();
-    let mut out = Vec::with_capacity(triples.len());
-    for &t in triples {
-        out.push(decode_triple(dict, t)?);
-    }
-    Ok(Some(out))
 }
 
 /// Append one write batch to the WAL *before* it is applied in-memory,
@@ -2289,33 +2136,13 @@ fn log_write(st: &mut State, record: &WalRecord) -> Result<(), Error> {
 /// current log sequence; then a fresh WAL and an atomic manifest commit.
 /// A failure at any step leaves the previous snapshot + WAL pair live and
 /// consistent — the error is returned, durability stays enabled.
-fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
-    let triples = {
-        let Some(_) = st.durable.as_ref() else {
-            return Ok(());
-        };
-        let dict = st.gen.dict.as_ref();
-        let view = st.delta.current_view();
-        let mut out = Vec::with_capacity(st.gen.triples.len() + view.map_or(0, |v| v.n_inserts()));
-        for &t in st.gen.triples.iter() {
-            if view.is_some_and(|v| v.is_deleted(t)) {
-                continue;
-            }
-            out.push(decode_triple(dict, t)?);
-        }
-        for t in st.delta.visible_inserts() {
-            out.push(decode_triple(dict, t)?);
-        }
-        out
-    };
-    let mut flags = LayoutFlags {
-        baseline: st.gen.baseline.is_some(),
-        cs_parse_order: st.gen.cs_parse_order.is_some(),
-        clustered: st.gen.clustered.is_some(),
-        schema: st.gen.schema.is_some(),
-        plain_encoding: false,
-    };
-    flags.record_encoding(st.gen.encoding);
+fn checkpoint_locked(st: &mut State, pool: &BufferPool) -> Result<(), Error> {
+    if st.durable.is_none() {
+        return Ok(());
+    }
+    let visible = st.gen.visible_triples(pool, st.delta.current_view());
+    let triples = decode_triples(&st.gen.dict, &visible)?;
+    let flags = layout_flags(&st.gen);
     // sordf-lint: allow(L3) — the durable-handle check above returned early.
     let d = st.durable.as_mut().unwrap();
     let snap_n = d.snap_file + 1;
@@ -2343,6 +2170,19 @@ fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
     Ok(())
 }
 
+/// The layouts a snapshot of `gen` records, for recovery to rebuild.
+fn layout_flags(gen: &StoreGeneration) -> LayoutFlags {
+    let mut flags = LayoutFlags {
+        baseline: gen.baseline.is_some(),
+        cs_parse_order: gen.cs_parse_order.is_some(),
+        clustered: gen.clustered.is_some(),
+        schema: gen.schema.is_some(),
+        plain_encoding: false,
+    };
+    flags.record_encoding(gen.encoding);
+    flags
+}
+
 /// Pending delta writes make a *partial* rebuild unsound (the new store
 /// would disagree with the surviving ones about the visible data); the
 /// rebuild entry points refuse instead.
@@ -2356,27 +2196,63 @@ fn ensure_no_pending_writes(st: &State, what: &str) -> Result<(), Error> {
     }
 }
 
-/// Fold pending delta writes into the base triple set and reset the write
-/// state. Callers that keep built generations alive must rebuild them
-/// afterwards. Returns whether anything changed.
-fn collapse_delta_into_base(st: &mut State) -> bool {
-    if st.delta.is_empty() {
-        st.write = None;
-        return false;
+/// Fold the built stores and the pending delta back into a staging
+/// generation over the visible triples (same dictionary, nothing built, no
+/// schema) and reset the write state. No-op on a staging generation.
+fn unbuild_locked(st: &mut State, pool: &BufferPool) {
+    st.write = None;
+    if !st.gen.any_built() {
+        return;
     }
-    let st = &mut *st;
-    let gen = Arc::make_mut(&mut st.gen);
-    let triples = Arc::make_mut(&mut gen.triples);
-    if let Some(view) = st.delta.current_view() {
-        if view.n_tombstones() > 0 {
-            triples.retain(|t| !view.is_deleted(*t));
+    let visible = st.gen.visible_triples(pool, st.delta.current_view());
+    st.gen = Arc::new(StoreGeneration::staging(
+        Arc::clone(&st.gen.dict),
+        visible,
+        st.gen.encoding,
+    ));
+    st.delta = DeltaStore::new();
+    st.epoch += 1; // base changed: any pinned rebuild is stale
+}
+
+/// The delta view a query at `snap` reads: the cached current view, or a
+/// historical one materialized on demand (`None` when empty).
+fn view_at(st: &State, snap: Option<Snapshot>) -> Option<Arc<DeltaView>> {
+    match snap {
+        Some(s) if s.seq() != st.delta.seq() => {
+            Some(Arc::new(st.delta.view_at(s))).filter(|v| !v.is_empty())
+        }
+        _ => st.delta.current_view_arc(),
+    }
+}
+
+/// Is `t` visible: a base triple without a tombstone, or a visible delta
+/// insert?
+fn is_visible(st: &State, pool: &BufferPool, t: Triple) -> bool {
+    match st.delta.current_view() {
+        None => st.gen.contains(pool, &t),
+        Some(d) => {
+            d.insert_pairs_for(t.p, Some((t.s.raw(), t.s.raw())))
+                .any(|(_, o)| o == t.o)
+                || (!d.is_deleted(t) && st.gen.contains(pool, &t))
         }
     }
-    triples.extend(st.delta.visible_inserts());
-    st.delta = DeltaStore::new();
-    st.write = None;
-    st.epoch += 1; // base content changed: any pinned rebuild is stale
-    true
+}
+
+/// Number of visible triples: the base minus its tombstoned triples, plus
+/// the visible delta inserts. One point probe per tombstone.
+fn visible_count(st: &State, pool: &BufferPool) -> usize {
+    let n = st.gen.n_triples();
+    match st.delta.current_view() {
+        None => n,
+        Some(view) => {
+            let deleted = view
+                .tombstones()
+                .iter()
+                .filter(|t| st.gen.contains(pool, t))
+                .count();
+            n - deleted + view.n_inserts()
+        }
+    }
 }
 
 /// Intern a write batch into the current generation's dictionary. The
@@ -2397,89 +2273,58 @@ fn intern_batch<T>(
     Ok((out, sa))
 }
 
-/// Stage `triples` into the base set: collapse pending writes, append, and
-/// invalidate built stores (the next build sees everything).
-fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Error> {
-    collapse_delta_into_base(st);
-    let (encoded, _) = intern_batch(st, |dict| {
-        let mut enc = Vec::with_capacity(triples.len());
-        for t in triples {
-            enc.push(encode_triple_skolemized(dict, t)?);
-        }
-        Ok(enc)
-    })?;
+/// Stage `triples` into the base set: fold built stores and pending writes
+/// back into the staged base, then add the batch (the next build sees
+/// everything). Returns the number of triples added.
+fn load_terms_locked(
+    st: &mut State,
+    pool: &BufferPool,
+    triples: &[TermTriple],
+) -> Result<usize, Error> {
+    let (encoded, _) = intern_batch(st, |dict| encode_terms(dict, triples))?;
     // Log after the encode proves the batch well-formed (so recovery can
     // never trip over a record the live path rejected) but before any
-    // visible mutation. The collapse above is logically invisible.
+    // visible mutation. The unbuild below is logically invisible.
     if st.durable.is_some() {
         log_write(st, &WalRecord::Load(triples.to_vec()))?;
     }
+    unbuild_locked(st, pool);
     let gen = Arc::make_mut(&mut st.gen);
-    Arc::make_mut(&mut gen.triples).extend(encoded);
-    gen.baseline = None;
+    let before = gen.staged.len();
+    gen.stage(encoded);
+    let added = gen.staged.len() - before;
     gen.schema = None;
-    gen.cs_parse_order = None;
-    gen.clustered = None;
-    gen.reorg_report = None;
-    st.write = None;
     st.epoch += 1;
-    Ok(triples.len())
+    Ok(added)
 }
 
-/// Tombstone already-encoded triples that are currently visible.
-fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, Error> {
+/// Delete already-encoded triples (SPO-sorted, distinct) that are
+/// currently visible: tombstones once a layout is built, removal from the
+/// staged base before.
+fn delete_encoded_locked(
+    st: &mut State,
+    pool: &BufferPool,
+    mut targets: Vec<Triple>,
+) -> Result<usize, Error> {
+    targets.retain(|&t| is_visible(st, pool, t));
     if targets.is_empty() {
-        return Ok(0);
-    }
-    if !st.gen.any_built() {
-        // Staging mode: remove from the base set directly.
-        if let Some(terms) = decode_for_log(st, &targets)? {
-            log_write(st, &WalRecord::Delete(terms))?;
-        }
-        let set: FxHashSet<Triple> = targets.into_iter().collect();
-        let gen = Arc::make_mut(&mut st.gen);
-        let triples = Arc::make_mut(&mut gen.triples);
-        let before = triples.len();
-        triples.retain(|t| !set.contains(t));
-        st.epoch += 1;
-        return Ok(before - triples.len());
-    }
-    let visible: Vec<Triple> = {
-        let view = st.delta.current_view();
-        // One pass over the base against a targets-sized set (not the
-        // other way round — the base can be large, the batch is small).
-        let target_set: FxHashSet<Triple> = targets.iter().copied().collect();
-        let mut in_base: FxHashSet<Triple> = FxHashSet::default();
-        for t in st.gen.triples.iter() {
-            if target_set.contains(t) {
-                in_base.insert(*t);
-            }
-        }
-        targets
-            .into_iter()
-            .filter(|&t| match view {
-                None => in_base.contains(&t),
-                Some(d) => {
-                    (in_base.contains(&t) && !d.is_deleted(t))
-                        || d.insert_pairs_for(t.p, Some((t.s.raw(), t.s.raw())))
-                            .any(|(_, o)| o == t.o)
-                }
-            })
-            .collect()
-    };
-    if visible.is_empty() {
         return Ok(0);
     }
     // Log the *resolved* visible triples: replay from the same state
     // re-resolves to exactly this set, and zero-match deletes (skipped
     // above) never consume a log sequence — keeping the log and the delta
     // advancing in lockstep.
-    if let Some(terms) = decode_for_log(st, &visible)? {
+    if let Some(terms) = decode_for_log(st, &targets)? {
         log_write(st, &WalRecord::Delete(terms))?;
     }
-    let n = visible.len();
-    let _ = st.delta.delete(&visible);
-    Ok(n)
+    if st.gen.any_built() {
+        let _ = st.delta.delete(&targets);
+    } else {
+        let gen = Arc::make_mut(&mut st.gen);
+        gen.staged.retain(|t| targets.binary_search(t).is_err());
+        st.epoch += 1;
+    }
+    Ok(targets.len())
 }
 
 /// Route one insert batch's subjects through the incremental assigner
@@ -2539,14 +2384,19 @@ fn route_inserts(
     }
 }
 
-fn discover_schema_locked(st: &mut State, cfg: &SchemaConfig) -> Result<f64, Error> {
+fn discover_schema_locked(
+    st: &mut State,
+    pool: &BufferPool,
+    cfg: &SchemaConfig,
+) -> Result<f64, Error> {
     if st.gen.clustered.is_some() {
         return Err(Error::State(
             "schema already frozen by self_organize()".into(),
         ));
     }
     ensure_no_pending_writes(st, "discover_schema()")?;
-    let spo = sorted_spo(&st.gen.triples);
+    let mut spo = st.gen.base_triples(pool);
+    spo.sort_unstable();
     let schema = sordf_schema::discover(&spo, &st.gen.dict, cfg);
     let coverage = schema.coverage;
     Arc::make_mut(&mut st.gen).schema = Some(Arc::new(schema));
@@ -2555,21 +2405,27 @@ fn discover_schema_locked(st: &mut State, cfg: &SchemaConfig) -> Result<f64, Err
     Ok(coverage)
 }
 
-fn build_cs_tables_locked(st: &mut State, dm: &Arc<DiskManager>) -> Result<(), Error> {
+fn build_cs_tables_locked(
+    st: &mut State,
+    dm: &Arc<DiskManager>,
+    pool: &BufferPool,
+) -> Result<(), Error> {
     if st.gen.cs_parse_order.is_some() {
         return Ok(());
     }
     ensure_no_pending_writes(st, "build_cs_tables()")?;
     if st.gen.schema.is_none() {
         let cfg = st.schema_cfg.clone();
-        discover_schema_locked(st, &cfg)?;
+        discover_schema_locked(st, pool, &cfg)?;
     }
     // sordf-lint: allow(L3) — discover_schema_locked just populated the schema.
     let mut schema = st.gen.schema.as_deref().unwrap().clone();
-    let spo = sorted_spo(&st.gen.triples);
+    let mut spo = st.gen.base_triples(pool);
+    spo.sort_unstable();
     let spec = ClusterSpec::auto(&schema);
     let store = build_clustered_with(dm, &spo, &mut schema, &spec, false, st.encoding);
     let gen = Arc::make_mut(&mut st.gen);
+    gen.staged = Vec::new();
     gen.cs_parse_order = Some((Arc::new(store), Arc::new(schema)));
     gen.encoding = st.encoding;
     st.epoch += 1;
@@ -2579,33 +2435,31 @@ fn build_cs_tables_locked(st: &mut State, dm: &Arc<DiskManager>) -> Result<(), E
 fn self_organize_locked(
     st: &mut State,
     dm: &Arc<DiskManager>,
+    pool: &BufferPool,
     spec: Option<ClusterSpec>,
 ) -> Result<Arc<EmergentSchema>, Error> {
     if st.gen.clustered.is_some() {
         // sordf-lint: allow(L3) — a clustered generation always carries the schema it was built from.
         return Ok(st.gen.schema.clone().unwrap());
     }
-    if collapse_delta_into_base(st) {
-        // Pending writes changed the dataset: schema/generations
-        // discovered before them are stale.
-        let gen = Arc::make_mut(&mut st.gen);
-        gen.baseline = None;
-        gen.cs_parse_order = None;
-        gen.schema = None;
+    if !st.delta.is_empty() {
+        // Pending writes changed the dataset: the schema and layouts
+        // built before them are stale.
+        unbuild_locked(st, pool);
     }
     if st.gen.schema.is_none() {
         let cfg = st.schema_cfg.clone();
-        discover_schema_locked(st, &cfg)?;
+        discover_schema_locked(st, pool, &cfg)?;
     }
     // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
     let spec = spec.unwrap_or_else(|| ClusterSpec::auto(st.gen.schema.as_deref().unwrap()));
-    // Build a *fresh* generation: clone the dictionary + triples, cluster
-    // the clone, and install it. In-flight queries pinned to the old
+    // Build a *fresh* generation: clone the dictionary + base, cluster the
+    // clone, and install it. In-flight queries pinned to the old
     // generation keep a consistent (dict, store) pair — the old dictionary
     // is never renumbered in place.
     let mut ts = TripleSet {
         dict: st.gen.dict.as_ref().clone(),
-        triples: st.gen.triples.as_ref().clone(),
+        triples: st.gen.base_triples(pool),
     };
     // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
     let mut schema = st.gen.schema.as_deref().unwrap().clone();
@@ -2618,7 +2472,7 @@ fn self_organize_locked(
     let schema = Arc::new(schema);
     st.gen = Arc::new(StoreGeneration {
         dict: Arc::new(ts.dict),
-        triples: Arc::new(ts.triples),
+        staged: Vec::new(),
         // Parse-order generations hold stale OIDs now.
         baseline: None,
         cs_parse_order: None,
@@ -2671,19 +2525,12 @@ struct DurablePin {
 /// The staging name a rebuild's pre-swap snapshot is written under.
 const SNAP_TMP: &str = "snap.tmp";
 
-/// The output of a rebuild, before the swap wraps it into a published
-/// [`StoreGeneration`] (the dictionary stays unwrapped so the catch-up fold
-/// can intern into it without locking).
+/// The output of a rebuild: the generation the swap publishes (the
+/// catch-up fold interns into its dictionary through `&self`), plus the
+/// folded triples it was built from, for the pre-swap snapshot.
 struct BuiltGeneration {
-    ts: TripleSet,
-    baseline: Option<BaselineStore>,
-    schema: Option<Arc<EmergentSchema>>,
-    cs_parse_order: Option<(ClusteredStore, Arc<EmergentSchema>)>,
-    clustered: Option<ClusteredStore>,
-    spec: ClusterSpec,
-    report: Option<ReorgReport>,
-    strings_sorted_len: usize,
-    encoding: ColumnEncoding,
+    gen: StoreGeneration,
+    triples: Vec<Triple>,
 }
 
 /// Claim the (single) rebuild slot and pin the rebuild's input.
@@ -2726,19 +2573,14 @@ fn release_rebuild_claim(inner: &DbInner, epoch: u64) {
 /// owned triple set and rebuild every generation the pinned one had. This
 /// is what runs for the full rebuild duration while readers and writers
 /// proceed against the live store.
-fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration {
-    let mut ts = pin.gen.fold_into_triple_set(pin.view.as_deref());
-    let mut out = BuiltGeneration {
-        ts: TripleSet::new(),
-        baseline: None,
-        schema: None,
-        cs_parse_order: None,
-        clustered: None,
-        spec: ClusterSpec::none(),
-        report: None,
-        strings_sorted_len: pin.gen.strings_sorted_len,
-        encoding: pin.encoding,
+fn build_generation(inner: &DbInner, pin: &RebuildPin) -> BuiltGeneration {
+    let dm = &inner.dm;
+    let mut ts = TripleSet {
+        dict: pin.gen.dict.as_ref().clone(),
+        triples: pin.gen.visible_triples(&inner.pool, pin.view.as_deref()),
     };
+    let mut out = StoreGeneration::staging(Arc::new(Dictionary::new()), Vec::new(), pin.encoding);
+    out.strings_sorted_len = pin.gen.strings_sorted_len;
     let mut frozen: Option<Arc<EmergentSchema>> = None;
     // One SPO copy serves every builder; clustering renumbers the OIDs, so
     // it is the only step after which the copy must be re-derived.
@@ -2750,9 +2592,9 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration 
         spo = ts.sorted_spo();
         let store = build_clustered_with(dm, &spo, &mut schema, &spec, true, pin.encoding);
         out.strings_sorted_len = ts.dict.n_strings();
-        out.clustered = Some(store);
+        out.clustered = Some(Arc::new(store));
         out.spec = spec;
-        out.report = Some(report);
+        out.reorg_report = Some(report);
         frozen = Some(Arc::new(schema));
     }
     if pin.gen.cs_parse_order.is_some() {
@@ -2766,32 +2608,38 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration 
         let mut schema = (*base).clone();
         let spec = ClusterSpec::auto(&schema);
         let store = build_clustered_with(dm, &spo, &mut schema, &spec, false, pin.encoding);
-        out.cs_parse_order = Some((store, Arc::new(schema)));
+        out.cs_parse_order = Some((Arc::new(store), Arc::new(schema)));
         frozen.get_or_insert(base);
     }
     if pin.gen.baseline.is_some() {
-        out.baseline = Some(BaselineStore::build_with(dm, &spo, pin.encoding));
+        out.baseline = Some(Arc::new(BaselineStore::build_with(dm, &spo, pin.encoding)));
     }
     out.schema = frozen;
-    out.ts = ts;
-    out
+    out.dict = Arc::new(ts.dict);
+    BuiltGeneration {
+        gen: out,
+        triples: ts.triples,
+    }
 }
 
 /// Decode `triples` under a dictionary into term triples.
 fn decode_triples(dict: &Dictionary, triples: &[Triple]) -> Result<Vec<TermTriple>, Error> {
     let mut out = Vec::with_capacity(triples.len());
-    for &t in triples {
-        out.push(decode_triple(dict, t)?);
+    for t in triples {
+        out.push(TermTriple::new(
+            dict.decode(t.s)?,
+            dict.decode(t.p)?,
+            dict.decode(t.o)?,
+        ));
     }
     Ok(out)
 }
 
-/// Encode term triples under the new (renumbered) dictionary, interning
-/// terms first seen during the rebuild.
-fn encode_terms(new_dict: &Dictionary, terms: &[TermTriple]) -> Result<Vec<Triple>, Error> {
+/// Encode term triples under `dict`, interning terms it has not seen.
+fn encode_terms(dict: &Dictionary, terms: &[TermTriple]) -> Result<Vec<Triple>, Error> {
     let mut out = Vec::with_capacity(terms.len());
     for t in terms {
-        out.push(encode_triple_skolemized(new_dict, t)?);
+        out.push(encode_triple_skolemized(dict, t)?);
     }
     Ok(out)
 }
@@ -2804,18 +2652,10 @@ fn write_rebuild_snapshot(
     pin: &RebuildPin,
     built: &BuiltGeneration,
 ) -> Result<(), Error> {
-    let triples = decode_triples(&built.ts.dict, &built.ts.triples)?;
-    let mut flags = LayoutFlags {
-        baseline: built.baseline.is_some(),
-        cs_parse_order: built.cs_parse_order.is_some(),
-        clustered: built.clustered.is_some(),
-        schema: built.schema.is_some(),
-        plain_encoding: false,
-    };
-    flags.record_encoding(built.encoding);
+    let triples = decode_triples(&built.gen.dict, &built.triples)?;
     let snap = StoreSnapshot {
         base_seq: dp.pin_log_seq,
-        flags,
+        flags: layout_flags(&built.gen),
         schema_cfg: pin.schema_cfg.clone(),
         triples,
     };
@@ -2863,13 +2703,103 @@ fn commit_swap_durable(
     Ok(())
 }
 
+/// The catch-up fold of a swap: the writes that landed after the rebuild's
+/// pin, decoded under the live dictionary (the same append-only dictionary
+/// the rebuild pinned, grown in place by concurrent interns) and replayed in
+/// sequence order into the fresh delta under the rebuilt, renumbered one.
+struct CatchUp {
+    delta: DeltaStore,
+    write: Option<WriteState>,
+    /// The same writes at term level, for the rotated WAL of a durable
+    /// database.
+    records: Vec<WalRecord>,
+}
+
+impl CatchUp {
+    fn fold(
+        &mut self,
+        writes: Vec<(u64, DeltaWrite)>,
+        old_dict: &Dictionary,
+        built: &BuiltGeneration,
+        pin: &RebuildPin,
+    ) -> Result<(), Error> {
+        for (seq, w) in writes {
+            let (insert, triples) = match w {
+                DeltaWrite::Insert(t) => (true, t),
+                DeltaWrite::Delete(t) => (false, t),
+            };
+            let terms = decode_triples(old_dict, &triples)?;
+            let enc = encode_terms(&built.gen.dict, &terms)?;
+            let applied = if insert {
+                let schema = built.gen.schema.as_deref();
+                route_inserts(&mut self.write, schema, &pin.schema_cfg, &enc);
+                self.delta.insert_run(enc)
+            } else {
+                self.delta.delete(&enc)
+            };
+            debug_assert_eq!(
+                applied.seq(),
+                seq,
+                "catch-up replay must preserve sequencing"
+            );
+            if pin.durable.is_some() {
+                self.records.push(if insert {
+                    WalRecord::Insert(terms)
+                } else {
+                    WalRecord::Delete(terms)
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The swap: install the built generation, folding every write that
-/// arrived during the rebuild into the fresh delta store. This is the only
-/// moment writers wait on a reorganization — O(catch-up writes), not
-/// O(rebuild). Returns `false` when the rebuild was superseded (a bulk
-/// load / explicit build invalidated the pinned epoch).
-// lock-order: acquires(db_state, dict)
+/// arrived during the rebuild into the fresh delta store. The fold runs in
+/// two rounds ([`catch_up_off_lock`], then [`swap_in`]) so writers and
+/// pinning readers wait only for the writes that land during the first
+/// round plus the durable commit — never for O(rebuild) work. Returns
+/// `false` when the rebuild was superseded (a bulk load / explicit build
+/// invalidated the pinned epoch).
 fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> Result<bool, Error> {
+    let catch_up = catch_up_off_lock(inner, &pin, &built)?;
+    swap_in(inner, pin, built, catch_up)
+}
+
+/// Round one of the catch-up fold: the writes that landed while the
+/// generation was built, folded *off* the state lock. Folds nothing when
+/// the rebuild is already superseded ([`swap_in`] then abandons it).
+// lock-order: acquires(db_state, dict)
+fn catch_up_off_lock(
+    inner: &DbInner,
+    pin: &RebuildPin,
+    built: &BuiltGeneration,
+) -> Result<CatchUp, Error> {
+    let mut catch_up = CatchUp {
+        delta: DeltaStore::with_base_seq(pin.pin_seq),
+        write: None,
+        records: Vec::new(),
+    };
+    let round_one = {
+        let st = inner.state.lock();
+        (st.epoch == pin.epoch)
+            .then(|| (st.delta.writes_since(pin.pin_seq), Arc::clone(&st.gen.dict)))
+    };
+    if let Some((writes, old_dict)) = round_one {
+        catch_up.fold(writes, &old_dict, built, pin)?;
+    }
+    Ok(catch_up)
+}
+
+/// Round two, under the state lock: fold the writes that landed during
+/// round one, commit the durable pair and install the built generation.
+// lock-order: acquires(db_state, dict)
+fn swap_in(
+    inner: &DbInner,
+    pin: RebuildPin,
+    built: BuiltGeneration,
+    mut catch_up: CatchUp,
+) -> Result<bool, Error> {
     let mut st = inner.state.lock();
     if st.rebuild == Some(pin.epoch) {
         st.rebuild = None;
@@ -2883,56 +2813,16 @@ fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> R
         return Ok(false);
     }
     let st = &mut *st;
-    let catch_up = st.delta.writes_since(pin.pin_seq);
-    let new_dict = built.ts.dict;
-    let mut new_delta = DeltaStore::with_base_seq(pin.pin_seq);
-    let mut new_write: Option<WriteState> = None;
-    // Re-serialize the catch-up writes (term-level) for the rotated WAL.
-    // Skipped when durability lapsed mid-rebuild (a failed log append
-    // disables it) — the disk then keeps its last consistent state.
+    let writes = st.delta.writes_since(catch_up.delta.seq());
+    catch_up.fold(writes, &st.gen.dict, &built, &pin)?;
+    // The rotated WAL is skipped when durability lapsed mid-rebuild (a
+    // failed log append disables it) — the disk then keeps its last
+    // consistent state.
     let durable_live = pin.durable.is_some() && st.durable.is_some();
-    let mut catch_up_records: Vec<WalRecord> = Vec::new();
-    {
-        // Decode under the *current* generation's dictionary — it is the
-        // same append-only dictionary the rebuild pinned (grown in place by
-        // concurrent interns) and is guaranteed to contain every term
-        // interned during the rebuild. No locking: decode is lock-free.
-        let old_dict = st.gen.dict.as_ref();
-        for (seq, w) in catch_up {
-            let applied = match w {
-                DeltaWrite::Insert(triples) => {
-                    let terms = decode_triples(old_dict, &triples)?;
-                    let enc = encode_terms(&new_dict, &terms)?;
-                    if durable_live {
-                        catch_up_records.push(WalRecord::Insert(terms));
-                    }
-                    route_inserts(
-                        &mut new_write,
-                        built.schema.as_deref(),
-                        &st.schema_cfg,
-                        &enc,
-                    );
-                    new_delta.insert_run(enc)
-                }
-                DeltaWrite::Delete(triples) => {
-                    let terms = decode_triples(old_dict, &triples)?;
-                    let enc = encode_terms(&new_dict, &terms)?;
-                    if durable_live {
-                        catch_up_records.push(WalRecord::Delete(terms));
-                    }
-                    new_delta.delete(&enc)
-                }
-            };
-            debug_assert_eq!(
-                applied.seq(),
-                seq,
-                "catch-up replay must preserve sequencing"
-            );
-        }
-    }
-    if built.clustered.is_some() && new_dict.n_strings() > built.strings_sorted_len {
+    let gen = built.gen;
+    if gen.clustered.is_some() && gen.dict.n_strings() > gen.strings_sorted_len {
         // Catch-up inserts interned strings past the freshly sorted pool.
-        new_delta.set_strings_appended();
+        catch_up.delta.set_strings_appended();
     }
     if durable_live {
         // Durable commit before the in-memory install: on failure the swap
@@ -2942,22 +2832,11 @@ fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> R
         let dp = pin.durable.as_ref().unwrap();
         // sordf-lint: allow(L3) — durable_live checked both sides above.
         let d = st.durable.as_mut().unwrap();
-        commit_swap_durable(dp, d, &catch_up_records)?;
+        commit_swap_durable(dp, d, &catch_up.records)?;
     }
-    st.gen = Arc::new(StoreGeneration {
-        dict: Arc::new(new_dict),
-        triples: Arc::new(built.ts.triples),
-        baseline: built.baseline.map(Arc::new),
-        schema: built.schema,
-        cs_parse_order: built.cs_parse_order.map(|(s, sc)| (Arc::new(s), sc)),
-        clustered: built.clustered.map(Arc::new),
-        spec: built.spec,
-        reorg_report: built.report,
-        strings_sorted_len: built.strings_sorted_len,
-        encoding: built.encoding,
-    });
-    st.delta = new_delta;
-    st.write = new_write;
+    st.gen = Arc::new(gen);
+    st.delta = catch_up.delta;
+    st.write = catch_up.write;
     #[cfg(debug_assertions)]
     {
         st.gen.debug_validate();
@@ -2976,7 +2855,7 @@ fn run_rebuild(
     drift_before: DriftStats,
 ) -> Result<ReorgOutcome, Error> {
     let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_generation(&inner.dm, &pin)
+        build_generation(inner, &pin)
     })) {
         Ok(b) => b,
         Err(payload) => {
@@ -2993,10 +2872,11 @@ fn run_rebuild(
         }
     }
     let irregular_ratio_after = built
+        .gen
         .clustered
         .as_ref()
         .map(|store| store.irregular.len() as f64 / store.n_triples().max(1) as f64);
-    let report = built.report.clone();
+    let report = built.gen.reorg_report.clone();
     let epoch = pin.epoch;
     match finish_rebuild(inner, pin, built) {
         Ok(true) => Ok(ReorgOutcome {
@@ -3097,19 +2977,6 @@ fn interrupt_or_exec(payload: Box<dyn std::any::Any + Send>) -> Error {
         Some(StopReason::Cancelled) => Error::Cancelled,
         Some(StopReason::TimedOut) => Error::Timeout,
         None => Error::Exec(panic_message(payload)),
-    }
-}
-
-/// Repackage a traced [`QueryResponse`] into the legacy [`Traced`] shape
-/// (the deprecated `query_traced*` wrappers return it).
-fn traced_of(resp: QueryResponse) -> Traced {
-    Traced {
-        results: resp.results,
-        // sordf-lint: allow(L3) — infallible: every caller sets traced(true),
-        // which guarantees both fields are populated.
-        stats: resp.stats.expect("traced request always carries stats"),
-        // sordf-lint: allow(L3) — infallible: see above.
-        pool: resp.pool.expect("traced request always carries pool stats"),
     }
 }
 
@@ -3392,7 +3259,12 @@ mod tests {
             built.dict_string_bytes > 0 && built.dict_string_bytes < built.dict_string_plain_bytes,
             "front-coded strings accounted and smaller than plain"
         );
-        assert!(built.bytes_per_triple() > 0.0);
+        assert_eq!(built.base_triples_bytes, 0, "the layouts are the only copy");
+        assert_eq!(
+            built.bytes_per_triple(),
+            (built.dict_bytes + built.column_bytes + built.delta_bytes) as f64
+                / built.n_triples as f64
+        );
         assert_eq!(built.n_triples as usize, db.n_triples());
         assert_eq!(built.delta_bytes, 0, "no pending writes");
 
@@ -3407,6 +3279,53 @@ mod tests {
             m.total_bytes(),
             m.dict_bytes + m.base_triples_bytes + m.column_bytes + m.delta_bytes
         );
+    }
+
+    /// RDF graphs are sets: duplicate loads, re-inserts of visible triples
+    /// and repeats within a batch never add a second copy, on either side
+    /// of a build.
+    #[test]
+    fn the_store_is_a_set() {
+        let a = r#"<http://ex/s> <http://ex/p> "a" ."#;
+        let q = "SELECT ?o WHERE { <http://ex/s> <http://ex/p> ?o . }";
+        for generation in [Generation::Baseline, Generation::Clustered] {
+            let db = Database::in_temp_dir().unwrap();
+            let doc = format!(
+                "{a}\n<http://ex/s> <http://ex/q> \"b\" .\n<http://ex/t> <http://ex/p> \"c\" ."
+            );
+            assert_eq!(db.load_ntriples(&doc).unwrap(), 3);
+            assert_eq!(db.load_ntriples(a).unwrap(), 0, "already staged");
+            assert_eq!(db.n_triples(), 3);
+            match generation {
+                Generation::Baseline => db.build_baseline().unwrap(),
+                _ => drop(db.self_organize().unwrap()),
+            }
+            let rows = |db: &Database| {
+                let exec = ExecConfig {
+                    scheme: PlanScheme::Default,
+                    ..Default::default()
+                };
+                let req = QueryRequest::sparql(q).generation(generation).config(exec);
+                db.execute(&req).unwrap().results.len()
+            };
+            assert_eq!(rows(&db), 1, "{generation:?}");
+            assert_eq!(db.n_triples(), 3);
+
+            let twice = format!("{a}\n{a}");
+            assert_eq!(db.insert_ntriples(&twice).unwrap(), 0, "already visible");
+            assert_eq!((db.n_triples(), rows(&db)), (3, 1), "{generation:?}");
+            assert!(
+                db.drift_stats().n_delta_inserts == 0,
+                "nothing reached the delta"
+            );
+
+            let term = ntriples::parse_document(a).unwrap();
+            assert_eq!(db.delete_triples(&term).unwrap(), 1);
+            assert_eq!((db.n_triples(), rows(&db)), (2, 0), "{generation:?}");
+            assert_eq!(db.insert_ntriples(&twice).unwrap(), 1, "reinsert once");
+            assert_eq!((db.n_triples(), rows(&db)), (3, 1), "{generation:?}");
+            db.validate_invariants();
+        }
     }
 
     #[test]
@@ -3742,15 +3661,20 @@ mod tests {
 
         // Pin and build — but do not swap yet.
         let pin = begin_rebuild(&db.inner).unwrap();
-        let built = build_generation(&db.inner.dm, &pin);
+        let built = build_generation(&db.inner, &pin);
 
-        // Writes that arrive *during* the rebuild: an insert with a fresh
-        // string literal (interned only in the old dictionary), a
-        // conforming insert, and a delete of a base triple.
+        // Writes that arrive *during* the rebuild — a conforming insert
+        // before the off-lock catch-up round, then an insert with a fresh
+        // string literal (interned only in the old dictionary) and a delete
+        // of a base triple while that round runs.
         db.insert_ntriples(
             r#"<http://ex/mid1> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .
-<http://ex/mid1> <http://ex/sold> "1996-02-03"^^<http://www.w3.org/2001/XMLSchema#date> .
-<http://ex/thing9> <http://ex/label> "azure" .
+<http://ex/mid1> <http://ex/sold> "1996-02-03"^^<http://www.w3.org/2001/XMLSchema#date> ."#,
+        )
+        .unwrap();
+        let catch_up = catch_up_off_lock(&db.inner, &pin, &built).unwrap();
+        db.insert_ntriples(
+            r#"<http://ex/thing9> <http://ex/label> "azure" .
 <http://ex/thing9> <http://ex/rank> "9"^^<http://www.w3.org/2001/XMLSchema#integer> ."#,
         )
         .unwrap();
@@ -3759,9 +3683,9 @@ mod tests {
         let mid_snap = db.snapshot();
         let want = db.query(q).unwrap().canonical(&db.dict());
 
-        // Swap: catch-up fold must decode under the old dict, re-encode
-        // under the new one and replay in order.
-        assert!(finish_rebuild(&db.inner, pin, built).unwrap());
+        // Swap: both catch-up rounds must decode under the old dict,
+        // re-encode under the new one and replay in order.
+        assert!(swap_in(&db.inner, pin, built, catch_up).unwrap());
 
         assert_eq!(
             db.query(q).unwrap().canonical(&db.dict()),
@@ -3884,7 +3808,7 @@ mod tests {
         let db = sample_db();
         db.self_organize().unwrap();
         let pin = begin_rebuild(&db.inner).unwrap();
-        let built = build_generation(&db.inner.dm, &pin);
+        let built = build_generation(&db.inner, &pin);
         // A bulk load invalidates the pinned epoch: the swap must refuse.
         db.load_ntriples(
             r#"<http://ex/late> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> ."#,
@@ -3954,7 +3878,7 @@ mod tests {
         assert!(db.reorg_in_flight());
         assert!(matches!(db.reorganize_async(), Err(Error::State(_))));
         assert!(matches!(db.reorganize_now(), Err(Error::State(_))));
-        let built = build_generation(&db.inner.dm, &pin);
+        let built = build_generation(&db.inner, &pin);
         assert!(finish_rebuild(&db.inner, pin, built).unwrap());
         assert!(!db.reorg_in_flight());
         db.reorganize_now().unwrap();
@@ -4093,12 +4017,29 @@ mod tests {
             )
             .unwrap();
             db.reorganize_now().unwrap();
-            // The swap committed a fresh snapshot + WAL pair.
+            // A second swap with writes in each catch-up round: the
+            // rotated WAL must carry both rounds' records.
+            let qty3 = |s: &str| {
+                let t = TermTriple::new(Term::iri(s), Term::iri("http://ex/qty"), Term::int(3));
+                assert_eq!(db.insert_terms(&[t]).unwrap(), 1);
+            };
+            let pin = begin_rebuild(&db.inner).unwrap();
+            let built = build_generation(&db.inner, &pin);
+            write_rebuild_snapshot(pin.durable.as_ref().unwrap(), &pin, &built).unwrap();
+            qty3("http://ex/new2");
+            let catch_up = catch_up_off_lock(&db.inner, &pin, &built).unwrap();
+            qty3("http://ex/new3");
+            assert!(swap_in(&db.inner, pin, built, catch_up).unwrap());
+            // Each swap committed a fresh snapshot + WAL pair.
             let m2 = Manifest::read(&dir).unwrap().unwrap();
-            assert_eq!(m2.snap_file, m.snap_file + 1);
-            assert_eq!(m2.wal_file, m.wal_file + 1);
+            assert_eq!(m2.snap_file, m.snap_file + 2);
+            assert_eq!(m2.wal_file, m.wal_file + 2);
             assert!(!dir.join(SNAP_TMP).exists(), "staging file renamed away");
-            db.query(DQ).unwrap().canonical(&db.dict())
+            let rows = db.query(DQ).unwrap().canonical(&db.dict());
+            assert!(
+                rows.iter().any(|r| r.contains("new2")) && rows.iter().any(|r| r.contains("new3"))
+            );
+            rows
         };
         let db = Database::open(&dir).unwrap();
         assert_eq!(db.query(DQ).unwrap().canonical(&db.dict()), want);

@@ -89,6 +89,17 @@ impl BaselineStore {
         !self.perm(Order::Spo).range3(pool, t.s, t.p, t.o).is_empty()
     }
 
+    /// Every stored triple, SPO-sorted (a full scan of the SPO projection).
+    pub fn triples(&self, pool: &BufferPool) -> Vec<Triple> {
+        let idx = self.perm(Order::Spo);
+        let subjects = idx.col(0).to_vec(pool, 0..idx.len());
+        subjects
+            .into_iter()
+            .zip(idx.pairs(pool, 0..idx.len()))
+            .map(|(s, (p, o))| Triple::new(Oid::from_raw(s), p, o))
+            .collect()
+    }
+
     /// All (s, o) pairs for predicate `p`, s-sorted (a PSO scan).
     pub fn scan_p(&self, pool: &BufferPool, p: Oid) -> Vec<(Oid, Oid)> {
         let idx = self.perm(Order::Pso);
@@ -131,6 +142,9 @@ mod tests {
         assert_eq!(store.len(), 3);
         assert!(store.contains(&pool, &triples[0]));
         assert!(!store.contains(&pool, &t(9, 9, 9)));
+        let mut sorted = triples.clone();
+        sorted.sort_unstable();
+        assert_eq!(store.triples(&pool), sorted);
         let scan = store.scan_p(&pool, Oid::iri(10));
         assert_eq!(
             scan,

@@ -170,6 +170,64 @@ impl ClusteredStore {
         self.encoding
     }
 
+    /// Does the store hold `t`? `schema` is the schema the store was built
+    /// with. A regular subject's value is probed in its segment row or side
+    /// table first; anything else can only live in the irregular remainder.
+    pub fn contains(&self, pool: &BufferPool, schema: &EmergentSchema, t: &Triple) -> bool {
+        if let Some(cid) = schema.class_of(t.s) {
+            let seg = self.segment(cid);
+            let class = schema.class(cid);
+            if let Some(col) = class.column_of(t.p) {
+                if let Some(row) = seg.row_of(pool, t.s) {
+                    if seg.columns[col].value(pool, row) == t.o.raw() {
+                        return true;
+                    }
+                }
+            } else if let Some(mp) = class.multi_of(t.p) {
+                let table = &seg.multi[mp];
+                let rows = table.rows_of(pool, t.s);
+                let i = table.o.lower_bound_in(pool, rows.clone(), t.o.raw());
+                if i < rows.end && table.o.value(pool, i) == t.o.raw() {
+                    return true;
+                }
+            }
+        }
+        self.irregular.contains(pool, t)
+    }
+
+    /// Every stored triple, in storage order (the irregular remainder, then
+    /// segment by segment): the segments' non-NULL column values and
+    /// side-table pairs joined back to their subjects and predicates.
+    /// `schema` is the schema the store was built with.
+    pub fn triples(&self, pool: &BufferPool, schema: &EmergentSchema) -> Vec<Triple> {
+        let mut out = self.irregular.triples(pool);
+        out.reserve(self.n_regular);
+        for seg in &self.segments {
+            let class = schema.class(seg.class);
+            let subjects = seg.subjects_at(pool, &(0..seg.n).collect::<Vec<_>>());
+            for (def, col) in class.columns.iter().zip(&seg.columns) {
+                let values = col.to_vec(pool, 0..seg.n);
+                out.extend(
+                    subjects
+                        .iter()
+                        .zip(values)
+                        .filter(|&(_, o)| o != sordf_columnar::column::NULL_SENTINEL)
+                        .map(|(&s, o)| Triple::new(s, def.pred, Oid::from_raw(o))),
+                );
+            }
+            for (def, table) in class.multi_props.iter().zip(&seg.multi) {
+                let s = table.s.to_vec(pool, 0..table.s.len());
+                let o = table.o.to_vec(pool, 0..table.o.len());
+                out.extend(
+                    s.into_iter()
+                        .zip(o)
+                        .map(|(s, o)| Triple::new(Oid::from_raw(s), def.pred, Oid::from_raw(o))),
+                );
+            }
+        }
+        out
+    }
+
     /// Bytes a scan of the segment columns must touch (encoded size),
     /// excluding the irregular store (accounted separately).
     pub fn segment_used_bytes(&self) -> usize {
@@ -520,8 +578,13 @@ mod tests {
     #[test]
     fn every_triple_has_exactly_one_home() {
         for dense in [false, true] {
-            let (_dm, _pool, _schema, store, ts) = build(dense);
+            let (_dm, pool, schema, store, ts) = build(dense);
             assert_eq!(store.n_triples(), ts.len(), "dense={dense}");
+            let spo = ts.sorted_spo();
+            let mut back = store.triples(&pool, &schema);
+            back.sort_unstable();
+            assert_eq!(back, spo, "dense={dense}");
+            assert!(spo.iter().all(|t| store.contains(&pool, &schema, t)));
         }
     }
 

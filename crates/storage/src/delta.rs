@@ -48,9 +48,9 @@ impl Snapshot {
 #[derive(Debug, Clone)]
 struct DeltaRun {
     seq: u64,
-    /// Inserted triples, sorted by (s, p, o). Duplicates are kept — RDF-H
-    /// style bulk loads keep duplicate triples too, and the engine's
-    /// placement rules give each occurrence a home.
+    /// Inserted triples, sorted by (s, p, o). The store itself keeps
+    /// duplicates; the database drops already-visible triples and in-batch
+    /// repeats before a batch gets here.
     triples: Vec<Triple>,
 }
 
@@ -100,6 +100,11 @@ impl DeltaView {
     #[inline]
     pub fn is_deleted(&self, t: Triple) -> bool {
         !self.tomb_set.is_empty() && self.tomb_set.contains(&t)
+    }
+
+    /// All applicable tombstones, sorted by (p, s, o).
+    pub fn tombstones(&self) -> &[Triple] {
+        &self.tombs_pso
     }
 
     /// Any tombstones for predicate `p`? Lets scans skip the filter pass.
@@ -565,26 +570,6 @@ impl DeltaStore {
         }
     }
 
-    /// The triples a collapse must append to the base set: all inserts still
-    /// visible at the current sequence, in run order.
-    pub fn visible_inserts(&self) -> Vec<Triple> {
-        // Walk runs (not the PSO-sorted view) to preserve batch order.
-        let mut tomb_seqs: FxHashMap<Triple, u64> = FxHashMap::default();
-        for &(tseq, t) in &self.tombstones {
-            let e = tomb_seqs.entry(t).or_insert(tseq);
-            *e = (*e).max(tseq);
-        }
-        let mut out = Vec::with_capacity(self.n_inserted());
-        for run in &self.runs {
-            for &t in &run.triples {
-                if tomb_seqs.get(&t).map_or(true, |&ts| ts <= run.seq) {
-                    out.push(t);
-                }
-            }
-        }
-        out
-    }
-
     /// Every write batch applied after sequence `seq`, in sequence order —
     /// the writes a generation swap must fold into the fresh delta store
     /// (the rebuild pinned `seq`; everything later arrived *during* the
@@ -678,7 +663,6 @@ mod tests {
         let v = d.current_view().unwrap();
         assert_eq!(v.n_inserts(), 0, "insert at seq 1 deleted at seq 2");
         assert!(v.is_deleted(t(1, 10, 2)));
-        assert!(d.visible_inserts().is_empty());
     }
 
     #[test]
@@ -698,7 +682,7 @@ mod tests {
 
         let v3 = d.view_at(s3);
         assert_eq!(v3.n_inserts(), 1, "re-insert visible");
-        assert_eq!(d.visible_inserts(), vec![t(1, 10, 2)]);
+        assert_eq!(d.current_view().unwrap().inserts(), &[t(1, 10, 2)]);
 
         // Snapshot 0 = base only.
         assert!(d.view_at(Snapshot(0)).is_empty());
@@ -806,7 +790,7 @@ mod tests {
         let cached = d.current_view().unwrap();
         assert_eq!(cached.inserts_pso, before.inserts_pso);
         assert!(after.is_deleted(t(9, 9, 9)));
-        assert_eq!(d.visible_inserts().len(), 4);
+        assert_eq!(cached.n_inserts(), 4);
     }
 
     #[test]
@@ -832,7 +816,7 @@ mod tests {
         let v = d.current_view().unwrap();
         assert_eq!(v.n_inserts(), 1);
         assert!(v.is_deleted(t(1, 10, 2)));
-        assert_eq!(d.visible_inserts(), vec![t(2, 10, 3)]);
+        assert_eq!(v.inserts(), &[t(2, 10, 3)]);
         // And the from-scratch view agrees.
         let rebuilt = d.view_at(d.snapshot());
         assert_eq!(rebuilt.inserts_pso, v.inserts_pso);
@@ -849,7 +833,7 @@ mod tests {
         d.compact_runs();
         assert_eq!(d.n_runs(), 0);
         assert_eq!(d.n_inserted(), 0);
-        assert!(d.visible_inserts().is_empty());
+        assert!(d.current_view().map_or(true, |v| v.inserts().is_empty()));
         // Idempotent on an already-compacted store.
         d.compact_runs();
         assert_eq!(d.n_runs(), 0);

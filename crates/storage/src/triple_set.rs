@@ -63,18 +63,14 @@ impl TripleSet {
         Ok(n)
     }
 
-    /// A copy of the triples sorted in SPO order (the order schema discovery
-    /// and the clustered builder require).
+    /// A copy of the triples sorted in SPO order and deduplicated (the
+    /// input schema discovery and every store builder require: RDF graphs
+    /// are sets).
     pub fn sorted_spo(&self) -> Vec<Triple> {
         let mut v = self.triples.clone();
-        v.sort_unstable_by_key(|t| t.key_spo());
+        v.sort_unstable();
+        v.dedup();
         v
-    }
-
-    /// Deduplicate identical triples (RDF graphs are sets).
-    pub fn dedup(&mut self) {
-        self.triples.sort_unstable_by_key(|t| t.key_spo());
-        self.triples.dedup();
     }
 }
 
@@ -128,8 +124,7 @@ _:b <http://e/p> <http://e/s1> ."#,
         )
         .unwrap();
         assert_eq!(ts.len(), 2);
-        ts.dedup();
-        assert_eq!(ts.len(), 1);
+        assert_eq!(ts.sorted_spo().len(), 1);
     }
 
     #[test]
@@ -139,8 +134,11 @@ _:b <http://e/p> <http://e/s1> ."#,
             "<http://e/b> <http://e/p> <http://e/o> .\n<http://e/a> <http://e/p> <http://e/o> .",
         )
         .unwrap();
+        ts.load_ntriples("<http://e/b> <http://e/p> <http://e/o> .")
+            .unwrap();
         let sorted = ts.sorted_spo();
-        assert!(sorted.windows(2).all(|w| w[0].key_spo() <= w[1].key_spo()));
+        assert_eq!(sorted.len(), 2, "duplicates dropped");
+        assert!(sorted.windows(2).all(|w| w[0].key_spo() < w[1].key_spo()));
         // Original parse order untouched.
         assert_ne!(ts.triples[0].s, ts.triples[1].s);
     }

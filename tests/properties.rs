@@ -95,7 +95,7 @@ proptest! {
     fn reorganize_is_a_bijective_renaming(triples in proptest::collection::vec(arb_triple(), 1..80)) {
         let mut ts = sordf_storage::TripleSet::new();
         ts.extend_terms(&triples).unwrap();
-        ts.dedup();
+        ts.triples = ts.sorted_spo();
         let decode = |ts: &sordf_storage::TripleSet| -> Vec<(Term, Term, Term)> {
             let mut v: Vec<_> = ts.triples.iter().map(|t| (
                 ts.dict.decode(t.s).unwrap(),
